@@ -11,10 +11,10 @@
 //!
 //! Set `OFC_MACRO_MINS` to shorten the macro-based ablations (default 10).
 
-use ofc_bench::cachex::{pin, run_macro_with, stage_input, Scenario};
+use ofc_bench::cachex::{pin, run_macro_full, stage_input, Scenario};
 use ofc_bench::par;
 use ofc_bench::report;
-use ofc_bench::scenario::{register_single, testbed_with, PlaneKind, WORKER_NODES};
+use ofc_bench::scenario::{register_single, testbed_full, PlaneKind, NODE_MEM, WORKER_NODES};
 use ofc_core::cache::WritePolicy;
 use ofc_core::ofc::OfcConfig;
 use ofc_workloads::catalog::gen_image_with_bytes;
@@ -57,7 +57,15 @@ fn macro_mins() -> u64 {
 fn margin_case(label: &str, margin: u64, dur: Duration) -> Row {
     let mut cfg = OfcConfig::default();
     cfg.ml.safety_margin_intervals = margin;
-    let r = run_macro_with(PlaneKind::Ofc, TenantProfile::Normal, 1, dur, 31, cfg);
+    let r = run_macro_full(
+        PlaneKind::Ofc,
+        TenantProfile::Normal,
+        1,
+        dur,
+        31,
+        cfg,
+        NODE_MEM,
+    );
     Row::Margin(
         label.into(),
         r.table2.bad_predictions,
@@ -72,7 +80,7 @@ fn reclamation_case(label: &str, hot_threshold: u64) -> Row {
     use ofc_faas::MemoryBroker;
     let mut cfg = OfcConfig::default();
     cfg.agent.hot_access_threshold = hot_threshold;
-    let tb = testbed_with(PlaneKind::Ofc, WORKER_NODES, 32, cfg);
+    let tb = testbed_full(PlaneKind::Ofc, WORKER_NODES, NODE_MEM, 32, cfg);
     let ofc = tb.ofc.as_ref().expect("ofc");
     let mut sim = ofc_simtime::Sim::new(32);
     // Fill node 0 with hot 8 MB objects, then shrink its pool hard.
@@ -134,7 +142,15 @@ fn gate_case(label: &str, disable: bool, dur: Duration) -> Row {
         disable_benefit_gate: disable,
         ..OfcConfig::default()
     };
-    let r = run_macro_with(PlaneKind::Ofc, TenantProfile::Normal, 1, dur, 33, cfg);
+    let r = run_macro_full(
+        PlaneKind::Ofc,
+        TenantProfile::Normal,
+        1,
+        dur,
+        33,
+        cfg,
+        NODE_MEM,
+    );
     let total: f64 = r.per_function_total_s.values().sum();
     Row::Gate(label.into(), total, r.table2.hit_ratio_pct)
 }
@@ -146,7 +162,7 @@ fn locality_case(label: &str, disable: bool) -> Row {
         disable_locality_routing: disable,
         ..OfcConfig::default()
     };
-    let mut tb = testbed_with(PlaneKind::Ofc, WORKER_NODES, 34, cfg);
+    let mut tb = testbed_full(PlaneKind::Ofc, WORKER_NODES, NODE_MEM, 34, cfg);
     let tenant = ofc_faas::TenantId::from("abl");
     for name in ["wand_edge", "wand_sepia", "wand_rotate", "wand_crop"] {
         let p = ofc_workloads::multimedia::profile(name).expect("known");
@@ -199,7 +215,7 @@ fn locality_case(label: &str, disable: bool) -> Row {
 fn write_policy_case(label: &str, policy: WritePolicy) -> Row {
     let mut cfg = OfcConfig::default();
     cfg.plane.write_policy = policy;
-    let mut tb = testbed_with(PlaneKind::Ofc, WORKER_NODES, 35, cfg);
+    let mut tb = testbed_full(PlaneKind::Ofc, WORKER_NODES, NODE_MEM, 35, cfg);
     let tenant = ofc_faas::TenantId::from("abl");
     let p = ofc_workloads::multimedia::profile("wand_edge").expect("known");
     register_single(&tb, &tenant, p, 512 << 20);

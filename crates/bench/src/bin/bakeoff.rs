@@ -22,10 +22,12 @@
 //! or dead-lettered) at the end of the window: rival policies may trade
 //! hit ratio for memory or rent, but never durability.
 
-use ofc_bench::cachex::{run_macro_bakeoff, MacroExtras, MacroResult};
+use ofc_bench::cachex::{run_macro_hooked, MacroExtras, MacroResult};
 use ofc_bench::megarun::{run_mega, tail_hit_pct, MegaOpts, MegaReport};
 use ofc_bench::par;
 use ofc_bench::report;
+use ofc_bench::scenario::{PlaneKind, NODE_MEM};
+use ofc_core::ofc::OfcConfig;
 use ofc_core::policy::PolicyKind;
 use ofc_workloads::faasload::TenantProfile;
 use ofc_workloads::mega::MegaConfig;
@@ -130,7 +132,20 @@ fn main() {
         for (kind, _) in POLICIES {
             jobs.push(Box::new(move || {
                 let t0 = std::time::Instant::now();
-                let (result, extras) = run_macro_bakeoff(kind, TenantProfile::Normal, 1, dur, 17);
+                let cfg = OfcConfig {
+                    policy: kind,
+                    ..OfcConfig::default()
+                };
+                let (result, extras) = run_macro_hooked(
+                    PlaneKind::Ofc,
+                    TenantProfile::Normal,
+                    1,
+                    dur,
+                    17,
+                    cfg,
+                    NODE_MEM,
+                    |_| {},
+                );
                 (result, extras, t0.elapsed().as_secs_f64())
             }));
         }

@@ -27,7 +27,7 @@
 use ofc_bench::cachex::{run_macro, run_macro_hooked, MacroResult};
 use ofc_bench::par;
 use ofc_bench::report;
-use ofc_bench::scenario::{PlaneKind, Testbed, WORKER_NODES};
+use ofc_bench::scenario::{PlaneKind, Testbed, NODE_MEM, WORKER_NODES};
 use ofc_chaos::{ChaosSchedule, FaultKind, FaultTemplate, Recurring};
 use ofc_core::cache::Persistence;
 use ofc_core::ofc::OfcConfig;
@@ -98,14 +98,14 @@ fn chaos_run(
 ) -> ChaosOutcome {
     let handles: Rc<RefCell<Option<Handles>>> = Rc::new(RefCell::new(None));
     let stash = Rc::clone(&handles);
-    let chaos = run_macro_hooked(
+    let (chaos, _extras) = run_macro_hooked(
         PlaneKind::Ofc,
         TenantProfile::Normal,
         1,
         dur,
         seed,
         cfg,
-        64 << 30,
+        NODE_MEM,
         move |tb: &mut Testbed| {
             let ofc = tb.ofc.as_ref().expect("ofc testbed");
             let cluster = Rc::clone(&ofc.cluster);

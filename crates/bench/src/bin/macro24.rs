@@ -14,7 +14,7 @@
 use ofc_bench::cachex::{run_macro, run_macro_full, MacroResult};
 use ofc_bench::par;
 use ofc_bench::report;
-use ofc_bench::scenario::PlaneKind;
+use ofc_bench::scenario::{PlaneKind, NODE_MEM};
 use ofc_core::ofc::OfcConfig;
 use ofc_workloads::faasload::TenantProfile;
 use serde::Serialize;
@@ -82,7 +82,7 @@ fn main() {
                 dur,
                 29,
                 OfcConfig::default(),
-                64 << 30,
+                NODE_MEM,
             )
         }),
     ));
@@ -99,7 +99,7 @@ fn main() {
                     cache_pool_override: Some(6 << 20),
                     ..OfcConfig::default()
                 },
-                64 << 30,
+                NODE_MEM,
             )
         }),
     ));

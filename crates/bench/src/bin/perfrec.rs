@@ -1,10 +1,9 @@
 //! `perfrec`: the BENCH perf record. Times every parallel-runner bin
-//! serial vs parallel (same seeds, byte-compared JSON), A/Bs the periodic
-//! eviction sweep (candidate index vs full scan), A/Bs the control plane
-//! (single omniscient coordinator vs 3-replica Raft-style group with
-//! gossip membership — DESIGN.md §16), and writes the result as a
-//! `BENCH_<n>.json` record so the perf trajectory of this repo is
-//! machine-readable PR over PR.
+//! serial vs parallel (same seeds, byte-compared JSON), A/Bs the control
+//! plane (single omniscient coordinator vs 3-replica Raft-style group with
+//! gossip membership — DESIGN.md §16), counts the lines of code of every
+//! crate, and writes the result as a `BENCH_<n>.json` record so the perf
+//! and size trajectory of this repo is machine-readable PR over PR.
 //!
 //! Invocation (after `cargo build --release`):
 //!
@@ -12,10 +11,11 @@
 //! cargo run --release -p ofc-bench --bin perfrec
 //! ```
 //!
-//! Record 10 adds the mega-scale sections: a timed serial full-scale
+//! Record 10 added the mega-scale sections: a timed serial full-scale
 //! `run_mega` headline (events/sec at ≥100k functions / ≥1k tenants), a
 //! per-policy mega-mix bake-off, and the failover drill re-run against a
-//! mega smoke window (control-plane overhead at scale).
+//! mega smoke window (control-plane overhead at scale). Record 12 adds
+//! the per-crate `loc` map.
 //!
 //! Environment:
 //! * `OFC_PERFREC_MINS` — macro window for the timed bins (default 5).
@@ -29,17 +29,14 @@
 //! * `OFC_PERFREC_MEGA=0` — skip the slow full-scale mega headline
 //!   timing (minutes of wall; CI skips it and relies on the committed
 //!   record plus the `mega-smoke` job).
-//! * `OFC_PERFREC_LTO_CHECK=1` — additionally time `macro24` serially at
-//!   the full 30-minute window, filling the LTO after-measurement of the
-//!   committed record (slow; off in CI).
-//! * `OFC_BENCH_RECORD` — output path (default `BENCH_10.json`).
+//! * `OFC_BENCH_RECORD` — output path (default `BENCH_12.json`).
 //! * `OFC_BENCH_THREADS` — worker count for the parallel pass (default:
 //!   available parallelism).
 
-use ofc_bench::cachex::{run_macro_bakeoff, run_macro_hooked};
+use ofc_bench::cachex::{run_macro_full, run_macro_hooked};
 use ofc_bench::megarun::{run_mega, tail_hit_pct, MegaOpts};
 use ofc_bench::par;
-use ofc_bench::scenario::{PlaneKind, Testbed};
+use ofc_bench::scenario::{PlaneKind, Testbed, NODE_MEM};
 use ofc_core::ofc::OfcConfig;
 use ofc_core::policy::PolicyKind;
 use ofc_telemetry::names;
@@ -48,6 +45,7 @@ use ofc_workloads::faasload::TenantProfile;
 use ofc_workloads::mega::MegaConfig;
 use serde::Serialize;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::rc::Rc;
@@ -64,11 +62,6 @@ const PAR_BINS: &[(&str, u64)] = &[
     ("bakeoff", 3),
     ("macro_mega", 6),
 ];
-
-/// Pre-thin-LTO `macro24` wall time: 30-minute window, serial, measured on
-/// the 1-core reference dev box at the commit introducing this record
-/// (before `[profile.release] lto = "thin"` / `codegen-units = 1`).
-const MACRO24_PRE_LTO_SERIAL_S: f64 = 14.67;
 
 /// Pre-interning-campaign `macro24` wall time: full 30-minute window,
 /// serial, measured at the record-8 commit (ROADMAP item 2's "serial
@@ -90,30 +83,6 @@ struct BinTiming {
     /// calling thread (thread spawn/join costs more than it recovers on
     /// 2–3 sim bins — the record-6 fig10 row measured 0.94x).
     mode: &'static str,
-}
-
-#[derive(Serialize)]
-struct SweepSide {
-    visited: u64,
-    evictions: u64,
-    wall_s: f64,
-}
-
-#[derive(Serialize)]
-struct SweepRecord {
-    indexed: SweepSide,
-    full_scan: SweepSide,
-    /// `full_scan.visited / indexed.visited` — the sweep-cost reduction
-    /// bought by the eviction-candidate index.
-    visited_ratio: f64,
-}
-
-#[derive(Serialize)]
-struct LtoRecord {
-    macro24_serial_before_s: f64,
-    /// Filled by `OFC_PERFREC_LTO_CHECK=1` (30-minute window, serial);
-    /// `null` when the slow check was skipped.
-    macro24_serial_after_s: Option<f64>,
 }
 
 #[derive(Serialize)]
@@ -228,14 +197,15 @@ struct BenchRecord {
     policies: Vec<PolicyTiming>,
     /// The bake-off re-run per policy on the mega-mix window (§18).
     mega_policies: Vec<MegaPolicyTiming>,
-    evict_sweep: SweepRecord,
     coordinator: FailoverRecord,
     /// Control-plane drill against the mega smoke window.
     mega_failover: MegaFailoverRecord,
     /// Timed full-scale serial mega headline (events/sec); `null` when
     /// `OFC_PERFREC_MEGA=0` skipped the slow measurement (CI).
     mega: Option<MegaScaleRecord>,
-    lto: LtoRecord,
+    /// Non-blank lines of `crates/<crate>/src/**/*.rs`, per crate: the
+    /// size half of "the same figures and speed from the least code".
+    loc: BTreeMap<String, u64>,
     /// Sims executed through the parallel runner across the parallel pass
     /// (also recorded as the `bench.par_runs` counter).
     par_runs: u64,
@@ -295,35 +265,39 @@ fn dirs_identical(a: &Path, b: &Path) -> bool {
     })
 }
 
-/// One in-process macro run with the chosen eviction-sweep mode, reading
-/// the janitor counters off the testbed's observability plane.
-fn sweep_side(full_scan: bool, mins: u64) -> SweepSide {
-    let mut cfg = OfcConfig::default();
-    cfg.agent.evict_full_scan = full_scan;
-    let stash: Rc<RefCell<Option<Telemetry>>> = Rc::new(RefCell::new(None));
-    let sink = Rc::clone(&stash);
-    let started = Instant::now();
-    run_macro_hooked(
-        PlaneKind::Ofc,
-        TenantProfile::Normal,
-        1,
-        Duration::from_secs(60 * mins),
-        23,
-        cfg,
-        64 << 30,
-        move |tb: &mut Testbed| {
-            let ofc = tb.ofc.as_ref().expect("ofc testbed");
-            *sink.borrow_mut() = Some(ofc.telemetry().clone());
-        },
-    );
-    let wall_s = started.elapsed().as_secs_f64();
-    let telemetry = stash.borrow_mut().take().expect("hook ran");
-    let m = telemetry.metrics();
-    SweepSide {
-        visited: m.counter(names::AGENT_EVICT_SCAN_VISITED),
-        evictions: m.counter(names::AGENT_PERIODIC_EVICTIONS),
-        wall_s,
-    }
+/// Non-blank lines of every `.rs` file under `dir`, recursively.
+fn count_loc(dir: &Path) -> u64 {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .filter_map(|e| e.ok())
+        .map(|e| {
+            let path = e.path();
+            if path.is_dir() {
+                count_loc(&path)
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap_or_default();
+                text.lines().filter(|l| !l.trim().is_empty()).count() as u64
+            } else {
+                0
+            }
+        })
+        .sum()
+}
+
+/// Lines of code per crate: non-blank lines of `<crates>/<crate>/src`.
+fn loc_per_crate(crates: &Path) -> BTreeMap<String, u64> {
+    let entries = std::fs::read_dir(crates)
+        .unwrap_or_else(|e| panic!("perfrec: listing {}: {e}", crates.display()));
+    entries
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().join("src").is_dir())
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, count_loc(&e.path().join("src")))
+        })
+        .collect()
 }
 
 /// One in-process macro run under the given control-plane layout, reading
@@ -332,14 +306,14 @@ fn coord_side(cfg: OfcConfig, mins: u64) -> CoordSide {
     let stash: Rc<RefCell<Option<Telemetry>>> = Rc::new(RefCell::new(None));
     let sink = Rc::clone(&stash);
     let started = Instant::now();
-    let result = run_macro_hooked(
+    let (result, _extras) = run_macro_hooked(
         PlaneKind::Ofc,
         TenantProfile::Normal,
         1,
         Duration::from_secs(60 * mins),
         29,
         cfg,
-        64 << 30,
+        NODE_MEM,
         move |tb: &mut Testbed| {
             let ofc = tb.ofc.as_ref().expect("ofc testbed");
             *sink.borrow_mut() = Some(ofc.telemetry().clone());
@@ -436,12 +410,17 @@ fn main() {
         (PolicyKind::InfiniCache, "infinicache"),
     ] {
         let started = Instant::now();
-        let (result, _extras) = run_macro_bakeoff(
-            kind,
+        let result = run_macro_full(
+            PlaneKind::Ofc,
             TenantProfile::Normal,
             1,
             Duration::from_secs(60 * mins),
             17,
+            OfcConfig {
+                policy: kind,
+                ..OfcConfig::default()
+            },
+            NODE_MEM,
         );
         let wall_s = started.elapsed().as_secs_f64();
         println!(
@@ -480,19 +459,6 @@ fn main() {
             failed: r.failed,
         });
     }
-
-    println!("\n  eviction sweep A/B ({mins} min window, in-process):");
-    let indexed = sweep_side(false, mins);
-    let full_scan = sweep_side(true, mins);
-    println!(
-        "    indexed    visited {:6}   evictions {:4}   wall {:5.2}s",
-        indexed.visited, indexed.evictions, indexed.wall_s
-    );
-    println!(
-        "    full scan  visited {:6}   evictions {:4}   wall {:5.2}s",
-        full_scan.visited, full_scan.evictions, full_scan.wall_s
-    );
-    let visited_ratio = full_scan.visited as f64 / indexed.visited.max(1) as f64;
 
     println!("\n  control-plane A/B ({mins} min window, fault-free, in-process):");
     let single = coord_side(OfcConfig::default(), mins);
@@ -596,16 +562,15 @@ fn main() {
         })
     };
 
-    let lto_after = if std::env::var("OFC_PERFREC_LTO_CHECK").map(|v| v == "1") == Ok(true) {
-        println!("\n  LTO check: timing macro24 serially at the 30 min window...");
-        let dir = std::env::temp_dir().join(format!("ofc-perfrec-lto-{}", std::process::id()));
-        let s = run_bin("macro24", 1, 30, &dir);
-        std::fs::remove_dir_all(&dir).ok();
-        println!("    macro24 serial: {s:.2}s (pre-LTO baseline {MACRO24_PRE_LTO_SERIAL_S}s)");
-        Some(s)
-    } else {
-        None
-    };
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("the bench crate sits under crates/");
+    let loc = loc_per_crate(crates);
+    println!("\n  lines of code (non-blank, src/ only):");
+    for (name, lines) in &loc {
+        println!("    {name:10} {lines:6}");
+    }
+    println!("    {:10} {:6}", "total", loc.values().sum::<u64>());
 
     // The parallel pass's sim count, surfaced on the registered counter so
     // the record and the telemetry plane agree on the name.
@@ -614,7 +579,7 @@ fn main() {
     let par_runs = telemetry.metrics().counter(names::BENCH_PAR_RUNS);
 
     let record = BenchRecord {
-        record: 10,
+        record: 12,
         window_mins: mins,
         threads,
         min_par_sims: par::min_par_sims(),
@@ -622,11 +587,6 @@ fn main() {
         bins,
         policies,
         mega_policies,
-        evict_sweep: SweepRecord {
-            indexed,
-            full_scan,
-            visited_ratio,
-        },
         coordinator: FailoverRecord {
             single,
             replicated,
@@ -634,13 +594,10 @@ fn main() {
         },
         mega_failover,
         mega,
-        lto: LtoRecord {
-            macro24_serial_before_s: MACRO24_PRE_LTO_SERIAL_S,
-            macro24_serial_after_s: lto_after,
-        },
+        loc,
         par_runs,
     };
-    let path = std::env::var("OFC_BENCH_RECORD").unwrap_or_else(|_| "BENCH_10.json".into());
+    let path = std::env::var("OFC_BENCH_RECORD").unwrap_or_else(|_| "BENCH_12.json".into());
     let json = serde_json::to_string_pretty(&record).expect("serializable record");
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("\n[saved {path}]");
@@ -691,5 +648,29 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn loc_counts_non_blank_rust_lines_per_crate() {
+        let root = std::env::temp_dir().join(format!("ofc-perfrec-loc-{}", std::process::id()));
+        let src = root.join("alpha/src/nested");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::create_dir_all(root.join("no_src")).unwrap();
+        std::fs::write(
+            root.join("alpha/src/lib.rs"),
+            "fn a() {}\n\n   \nfn b() {}\n",
+        )
+        .unwrap();
+        std::fs::write(src.join("m.rs"), "// one\n").unwrap();
+        std::fs::write(src.join("notes.md"), "not rust\n").unwrap();
+        let loc = loc_per_crate(&root);
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(loc.len(), 1, "only directories with a src/ are crates");
+        assert_eq!(loc["alpha"], 3);
     }
 }

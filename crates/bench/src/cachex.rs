@@ -3,7 +3,7 @@
 
 use crate::scenario::{
     feature_fn, pretrain_single, register_single, register_stages, testbed, testbed_full,
-    PinnedScheduler, PlaneKind, SpreadScheduler, Testbed, WORKER_NODES,
+    PinnedScheduler, PlaneKind, SpreadScheduler, Testbed, NODE_MEM, WORKER_NODES,
 };
 use ofc_core::cache::rc_key;
 use ofc_core::ofc::OfcConfig;
@@ -519,39 +519,20 @@ pub fn run_macro(
     duration: Duration,
     seed: u64,
 ) -> MacroResult {
-    run_macro_with(
-        kind,
-        profile_kind,
-        tenants_per_function,
-        duration,
-        seed,
-        OfcConfig::default(),
-    )
-}
-
-/// [`run_macro`] with an explicit OFC configuration (ablations).
-pub fn run_macro_with(
-    kind: PlaneKind,
-    profile_kind: TenantProfile,
-    tenants_per_function: usize,
-    duration: Duration,
-    seed: u64,
-    ofc_cfg: OfcConfig,
-) -> MacroResult {
     run_macro_full(
         kind,
         profile_kind,
         tenants_per_function,
         duration,
         seed,
-        ofc_cfg,
-        64 << 30,
+        OfcConfig::default(),
+        NODE_MEM,
     )
 }
 
-/// [`run_macro_with`] with explicit per-node memory (contention studies:
-/// the 24-tenant hit-ratio drop only appears when the working set
-/// pressures the cache).
+/// [`run_macro`] with an explicit OFC configuration (ablations, policy
+/// bake-offs) and per-node memory (contention studies: the 24-tenant
+/// hit-ratio drop only appears when the working set pressures the cache).
 #[allow(clippy::too_many_arguments)] // The full knob set of one experiment.
 pub fn run_macro_full(
     kind: PlaneKind,
@@ -572,66 +553,17 @@ pub fn run_macro_full(
         node_mem,
         |_| {},
     )
-}
-
-/// [`run_macro_full`] with a hook invoked after setup, just before the
-/// simulation runs. The chaos bench uses it to install a fault schedule
-/// against the assembled testbed (and to stash handles for post-run
-/// durability checks); everything else passes a no-op.
-#[allow(clippy::too_many_arguments)] // The full knob set of one experiment.
-pub fn run_macro_hooked(
-    kind: PlaneKind,
-    profile_kind: TenantProfile,
-    tenants_per_function: usize,
-    duration: Duration,
-    seed: u64,
-    ofc_cfg: OfcConfig,
-    node_mem: u64,
-    hook: impl FnOnce(&mut Testbed),
-) -> MacroResult {
-    run_macro_extended(
-        kind,
-        profile_kind,
-        tenants_per_function,
-        duration,
-        seed,
-        ofc_cfg,
-        node_mem,
-        hook,
-    )
     .0
 }
 
-/// Runs the Fig 9-shaped macro mix under one cache policy and returns
-/// both the figure result and the bake-off extras. Always drives the OFC
-/// plane; `policy` selects the brain (see `ofc-bench --bin bakeoff`).
-pub fn run_macro_bakeoff(
-    policy: ofc_core::policy::PolicyKind,
-    profile_kind: TenantProfile,
-    tenants_per_function: usize,
-    duration: Duration,
-    seed: u64,
-) -> (MacroResult, MacroExtras) {
-    run_macro_extended(
-        PlaneKind::Ofc,
-        profile_kind,
-        tenants_per_function,
-        duration,
-        seed,
-        OfcConfig {
-            policy,
-            ..OfcConfig::default()
-        },
-        64 << 30,
-        |_| {},
-    )
-}
-
-/// [`run_macro_hooked`] plus the [`MacroExtras`] side channel. The extras
-/// never feed figure JSON directly, so extending them cannot drift the
-/// committed goldens.
+/// The macro driver itself: [`run_macro_full`] with a hook invoked after
+/// setup, just before the simulation runs, plus the [`MacroExtras`] side
+/// channel. The chaos bench uses the hook to install a fault schedule
+/// against the assembled testbed (and to stash handles for post-run
+/// durability checks). The extras never feed figure JSON directly, so
+/// extending them cannot drift the committed goldens.
 #[allow(clippy::too_many_arguments)] // The full knob set of one experiment.
-fn run_macro_extended(
+pub fn run_macro_hooked(
     kind: PlaneKind,
     profile_kind: TenantProfile,
     tenants_per_function: usize,

@@ -10,7 +10,7 @@
 //! byte-identical across thread counts and is safe for the golden
 //! serial-vs-parallel compare.
 
-use crate::scenario::WORKER_NODES;
+use crate::scenario::{NODE_MEM, WORKER_NODES};
 use ofc_core::ofc::{Ofc, OfcConfig};
 use ofc_core::scheduler::FeatureFn;
 use ofc_faas::platform::Platform;
@@ -212,7 +212,7 @@ impl MegaOpts {
             mega,
             ofc: OfcConfig::default(),
             nodes: WORKER_NODES,
-            node_mem: 64 << 30,
+            node_mem: NODE_MEM,
             crash_drill: false,
         }
     }

@@ -51,20 +51,19 @@ pub struct Testbed {
 /// The paper's testbed: 6 machines — 1 controller, 1 storage, 4 workers.
 pub const WORKER_NODES: usize = 4;
 
+/// Per-node invoker memory of the standard testbed. The paper's workers
+/// are 512 GB machines; 64 GB of invoker capacity per node absorbs naive
+/// 2 GB bookings without admission failures (the paper reports zero
+/// failed invocations).
+pub const NODE_MEM: u64 = 64 << 30;
+
 /// Builds a testbed with `nodes` workers and default OFC configuration.
 pub fn testbed(kind: PlaneKind, nodes: usize, seed: u64) -> Testbed {
-    testbed_with(kind, nodes, seed, OfcConfig::default())
+    testbed_full(kind, nodes, NODE_MEM, seed, OfcConfig::default())
 }
 
-/// Builds a testbed with an explicit OFC configuration (ablations).
-pub fn testbed_with(kind: PlaneKind, nodes: usize, seed: u64, ofc_cfg: OfcConfig) -> Testbed {
-    // The paper's workers are 512 GB machines; 32 GB of invoker capacity
-    // per node absorbs naive 2 GB bookings without admission failures
-    // (the paper reports zero failed invocations).
-    testbed_full(kind, nodes, 64 << 30, seed, ofc_cfg)
-}
-
-/// Builds a testbed with explicit per-node memory (contention studies).
+/// Builds a testbed with explicit per-node memory (contention studies)
+/// and OFC configuration (ablations).
 pub fn testbed_full(
     kind: PlaneKind,
     nodes: usize,

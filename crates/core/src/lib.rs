@@ -59,6 +59,5 @@ pub mod monitor;
 pub mod ofc;
 pub mod policy;
 pub mod scheduler;
-pub mod trainer;
 
 pub use ofc_telemetry as telemetry;

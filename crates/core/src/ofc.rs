@@ -277,14 +277,7 @@ impl OfcBuilder {
         let cluster = Rc::new(RefCell::new(cluster));
 
         // One shared policy instance serves every seam (DESIGN.md §15).
-        // The deprecated `evict_full_scan` knob still selects the
-        // full-scan wrapper when the default policy is in play (perfrec's
-        // A/B measurement).
-        let kind = match cfg.policy {
-            PolicyKind::Ofc if cfg.agent.evict_full_scan => PolicyKind::OfcFullScan,
-            k => k,
-        };
-        let policy = build_policy(kind, &telemetry);
+        let policy = build_policy(cfg.policy, &telemetry);
 
         // Data plane (Proxy + rclib + persistors + webhooks).
         let mut plane = OfcPlane::new(

@@ -63,7 +63,7 @@ pub struct Cluster {
     /// Key → backup nodes (in ring order).
     replicas: IdHashMap<Key, Vec<NodeId>>,
     /// Coordinator-side version counters: bumped by every committed write,
-    /// delete, or eviction of a key (transaction validation, [`crate::txn`]).
+    /// delete, or eviction of a key (see [`Cluster::version_of`]).
     versions: IdHashMap<Key, u64>,
     telemetry: Telemetry,
     metrics: ClusterMetrics,
@@ -73,9 +73,6 @@ pub struct Cluster {
     transient_budget: u32,
     /// Per-node latency inflation factor (1.0 = nominal).
     slowdown: Vec<f64>,
-    /// Deterministic mid-operation crash hook: after `n` more successful
-    /// writes, `node` crashes inline (exercises partial-commit recovery).
-    crash_after: Option<(u64, NodeId)>,
     /// Stable key→shard mapping (inert with one shard).
     router: ShardRouter,
     /// Coordinator-owned pending replica batches per (shard, backup) pair
@@ -154,7 +151,6 @@ impl Cluster {
             metrics,
             transient_budget: 0,
             slowdown,
-            crash_after: None,
             router,
             batcher: ReplicationBatcher::new(),
             coord,
@@ -421,16 +417,6 @@ impl Cluster {
             self.cfg.latency.write(size, master != home)
         };
         let latency = self.inflate(master, base) + commit;
-        // Deterministic crash hook: the victim goes down after this write
-        // completes, i.e. between the writes of a multi-object commit.
-        if let Some((remaining, victim)) = self.crash_after {
-            if remaining <= 1 {
-                self.crash_after = None;
-                self.crash_node(victim, now);
-            } else {
-                self.crash_after = Some((remaining - 1, victim));
-            }
-        }
         Timed::new(Ok(master), latency)
     }
 
@@ -863,111 +849,6 @@ impl Cluster {
         }
     }
 
-    /// Adds a storage node to the cluster (horizontal scale-out, §6.4).
-    ///
-    /// The new node joins empty with the given memory pool and immediately
-    /// becomes a placement candidate for masters and backups; returns its
-    /// id. Existing placements are untouched — load drains towards the new
-    /// node through normal writes, reclamation migrations, and recovery.
-    pub fn add_node(&mut self, pool_bytes: u64) -> NodeId {
-        let id = self.nodes.len();
-        self.nodes
-            .push(StorageNode::new(id, self.cfg.segment_bytes, pool_bytes));
-        self.slowdown.push(1.0);
-        self.cfg.nodes = self.nodes.len();
-        self.gossip.grow_to(self.nodes.len());
-        if let Some(groups) = &mut self.partition {
-            // A node added mid-partition joins as its own island until the
-            // network heals.
-            let next = groups.iter().copied().max().map_or(0, |g| g + 1);
-            groups.push(next);
-        }
-        id
-    }
-
-    /// Drains and removes a node from service (horizontal scale-in, §6.4):
-    /// every master it holds migrates away by promotion where a backup
-    /// exists (falling back to a copy through the coordinator otherwise),
-    /// backups it held are re-created elsewhere, and the node goes down.
-    ///
-    /// Returns the number of objects that could not be preserved (only
-    /// possible when the remaining nodes lack memory).
-    pub fn drain_node(&mut self, node: NodeId, now: SimTime) -> Timed<usize> {
-        if node >= self.nodes.len() || !self.nodes[node].is_up() {
-            return Timed::new(0, Duration::ZERO);
-        }
-        // A planned drain is one long control-plane mutation; refuse to
-        // start it headless rather than bypass consensus per key.
-        if self.coord_gate(self.coord_origin(), now).is_err() {
-            return Timed::new(0, Duration::ZERO);
-        }
-        self.flush_replication();
-        let mut latency = Duration::ZERO;
-        let mut lost = 0usize;
-        let masters: Vec<Key> = self
-            .tablet
-            .iter()
-            .filter(|&(_, &m)| m == node)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in masters {
-            let t = self.migrate_by_promotion(&key, now);
-            match t.result {
-                Ok(_) => latency += t.latency,
-                Err(_) => {
-                    // No eligible backup: fall back to a coordinator-driven
-                    // copy onto the roomiest other live node.
-                    let (value, dirty) = match self.nodes[node].peek_master(&key) {
-                        // ofc-lint: allow(hotloop) reason=drained master's value feeds the fallback copy as an owned payload
-                        Some(o) => (o.value.clone(), o.dirty),
-                        None => continue,
-                    };
-                    let target = self
-                        .nodes
-                        .iter()
-                        .filter(|n| {
-                            n.id() != node
-                                && n.is_up()
-                                && n.available_bytes() >= value.size().max(1)
-                        })
-                        .max_by_key(|n| n.available_bytes())
-                        .map(StorageNode::id);
-                    match target {
-                        Some(target) => {
-                            let size = value.size();
-                            if self.nodes[target]
-                                .insert_master(key, value, now, dirty)
-                                .is_ok()
-                            {
-                                self.nodes[node].remove_master(&key);
-                                self.tablet.insert(key, target);
-                                // Full copy over the network, unlike promotion.
-                                latency += self.cfg.latency.write(size, true);
-                            } else {
-                                lost += 1;
-                                self.remove_entry(&key);
-                            }
-                        }
-                        None => {
-                            lost += 1;
-                            self.remove_entry(&key);
-                        }
-                    }
-                }
-            }
-        }
-        // Re-home the backups it held, then take it out of service; the
-        // crash-recovery walk restores replication. This is a planned
-        // removal the coordinator itself drives, so it runs inline even
-        // when failure *detection* is gossip's job.
-        self.flush_replication();
-        self.nodes[node].set_up(false);
-        let t = self.recover_crashed(node, now);
-        latency += t.latency;
-        self.metrics.objects_lost.add(lost as u64);
-        Timed::new(lost + t.result, latency)
-    }
-
     /// Current replication factor of `key` (backup copies actually present).
     pub fn live_replicas(&self, key: &Key) -> usize {
         self.backups_of(key)
@@ -1012,21 +893,13 @@ impl Cluster {
         self.set_node_slowdown(node, 1.0);
     }
 
-    /// Fault injection: after `n` more successful writes anywhere in the
-    /// cluster, `node` crashes inline — a deterministic way to model a
-    /// crash landing between the writes of one transaction commit.
-    pub fn crash_after_writes(&mut self, n: u64, node: NodeId) {
-        self.crash_after = if n == 0 { None } else { Some((n, node)) };
-    }
-
-    /// Clears all injected fault state (error budgets, slowdowns, pending
-    /// crash hooks). Crashed nodes stay down — restart them explicitly.
+    /// Clears all injected fault state (error budgets, slowdowns).
+    /// Crashed nodes stay down — restart them explicitly.
     pub fn clear_faults(&mut self) {
         self.transient_budget = 0;
         for s in &mut self.slowdown {
             *s = 1.0;
         }
-        self.crash_after = None;
     }
 
     // --- Replicated control plane -------------------------------------
@@ -1437,7 +1310,7 @@ impl Cluster {
 
     /// Walks the ring from `master`, storing backup copies of `key` on
     /// live nodes until `backups` reaches the replication factor. Shared
-    /// tail of the crash/restart/drain re-replication paths.
+    /// tail of the crash/restart re-replication paths.
     fn top_up_replication(
         &mut self,
         key: &Key,
@@ -1821,23 +1694,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_after_writes_fires_between_writes() {
-        let mut c = cluster();
-        c.crash_after_writes(2, 0);
-        c.write(0, &key("w1"), Value::synthetic(10), SimTime::ZERO)
-            .result
-            .unwrap();
-        assert!(c.node(0).is_up(), "one write armed, not yet fired");
-        c.write(1, &key("w2"), Value::synthetic(10), SimTime::ZERO)
-            .result
-            .unwrap();
-        assert!(!c.node(0).is_up(), "second write trips the crash");
-        // Replicated data survived the crash.
-        assert!(c.read(1, &key("w1"), SimTime::ZERO).result.is_ok());
-        assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 0);
-    }
-
-    #[test]
     fn stats_accumulate_across_reads() {
         let mut c = cluster();
         c.write(0, &key("a"), Value::synthetic(10), SimTime::ZERO)
@@ -1849,142 +1705,6 @@ mod tests {
         let stats = c.stats_of(&key("a")).unwrap();
         assert_eq!(stats.n_access, 5);
         assert_eq!(stats.t_access, SimTime::from_secs(5));
-    }
-}
-
-#[cfg(test)]
-mod elasticity_tests {
-    use super::*;
-
-    fn key(s: &str) -> Key {
-        Key::from(s)
-    }
-
-    fn small_cluster() -> Cluster {
-        Cluster::new(ClusterConfig {
-            nodes: 3,
-            replication_factor: 1,
-            node_pool_bytes: 8 << 20,
-            max_object_bytes: 1 << 20,
-            segment_bytes: 1 << 20,
-            ..ClusterConfig::default()
-        })
-    }
-
-    #[test]
-    fn add_node_expands_capacity_and_receives_writes() {
-        let mut c = small_cluster();
-        // Fill the original nodes.
-        let mut written = 0;
-        for i in 0..100 {
-            if c.write(
-                0,
-                &key(&format!("k{i}")),
-                Value::synthetic(1 << 20),
-                SimTime::ZERO,
-            )
-            .result
-            .is_ok()
-            {
-                written += 1;
-            } else {
-                break;
-            }
-        }
-        assert!(written < 30, "original capacity should be ~24 objects");
-        // Scale out: the new node absorbs further writes.
-        let new = c.add_node(8 << 20);
-        assert_eq!(new, 3);
-        assert_eq!(c.n_nodes(), 4);
-        let t = c.write(0, &key("fresh"), Value::synthetic(1 << 20), SimTime::ZERO);
-        assert_eq!(t.result.unwrap(), new, "spill lands on the new node");
-    }
-
-    #[test]
-    fn added_node_participates_in_replication() {
-        let mut c = small_cluster();
-        let new = c.add_node(8 << 20);
-        c.write(new, &key("a"), Value::synthetic(1000), SimTime::ZERO)
-            .result
-            .unwrap();
-        assert_eq!(c.master_of(&key("a")), Some(new));
-        assert_eq!(c.live_replicas(&key("a")), 1);
-    }
-
-    #[test]
-    fn drain_node_preserves_data_and_takes_node_down() {
-        let mut c = small_cluster();
-        for i in 0..5 {
-            c.write_with_dirty(
-                0,
-                &key(&format!("k{i}")),
-                Value::synthetic(1 << 20),
-                SimTime::ZERO,
-                false,
-            )
-            .result
-            .unwrap();
-        }
-        let victim = c.master_of(&key("k0")).unwrap();
-        let t = c.drain_node(victim, SimTime::ZERO);
-        assert_eq!(t.result, 0, "nothing may be lost on a planned drain");
-        assert!(!c.node(victim).is_up());
-        for i in 0..5 {
-            let k = key(&format!("k{i}"));
-            assert!(c.contains(&k), "k{i} lost");
-            let master = c.master_of(&k).unwrap();
-            assert_ne!(master, victim);
-            assert!(c.read(0, &k, SimTime::ZERO).result.is_ok());
-        }
-    }
-
-    #[test]
-    fn drain_without_backups_copies_instead() {
-        // Replication factor 0: promotion is impossible, the drain must
-        // fall back to full copies.
-        let mut c = Cluster::new(ClusterConfig {
-            nodes: 2,
-            replication_factor: 0,
-            node_pool_bytes: 8 << 20,
-            max_object_bytes: 1 << 20,
-            segment_bytes: 1 << 20,
-            ..ClusterConfig::default()
-        });
-        c.write_with_dirty(
-            0,
-            &key("a"),
-            Value::synthetic(1 << 20),
-            SimTime::ZERO,
-            false,
-        )
-        .result
-        .unwrap();
-        let t = c.drain_node(0, SimTime::ZERO);
-        assert_eq!(t.result, 0);
-        assert_eq!(c.master_of(&key("a")), Some(1));
-        assert!(c.read(1, &key("a"), SimTime::ZERO).result.is_ok());
-    }
-
-    #[test]
-    fn drain_then_add_back_round_trips() {
-        let mut c = small_cluster();
-        c.write_with_dirty(0, &key("a"), Value::synthetic(1000), SimTime::ZERO, false)
-            .result
-            .unwrap();
-        c.drain_node(0, SimTime::ZERO);
-        let replacement = c.add_node(8 << 20);
-        assert_eq!(replacement, 3);
-        // The cluster keeps serving, including placements on the new node.
-        c.write(
-            replacement,
-            &key("b"),
-            Value::synthetic(1000),
-            SimTime::ZERO,
-        )
-        .result
-        .unwrap();
-        assert!(c.contains(&key("a")));
-        assert!(c.contains(&key("b")));
     }
 }
 
@@ -2235,7 +1955,7 @@ mod failover_tests {
     }
 
     #[test]
-    fn crash_restart_drain_sequence_keeps_every_acked_write() {
+    fn crash_restart_sequence_keeps_every_acked_write() {
         let mut c = Cluster::new(base_config());
         for i in 0..8 {
             c.write(
@@ -2249,12 +1969,9 @@ mod failover_tests {
         }
         c.crash_node(1, SimTime::from_secs(1));
         c.restart_node(1, SimTime::from_secs(2));
-        let drained = c.drain_node(2, SimTime::from_secs(3));
-        assert_eq!(drained.result, 0, "planned drain preserves every object");
-        assert!(!c.node(2).is_up(), "drained node left service");
         for i in 0..8 {
-            let r = c.read(0, &key(&format!("k{i}")), SimTime::from_secs(4));
-            assert!(r.result.is_ok(), "k{i} lost across crash/restart/drain");
+            let r = c.read(0, &key(&format!("k{i}")), SimTime::from_secs(3));
+            assert!(r.result.is_ok(), "k{i} lost across crash/restart");
         }
         assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 0);
     }

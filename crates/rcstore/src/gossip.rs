@@ -185,16 +185,6 @@ impl GossipPlane {
             .unwrap_or(MemberState::Alive)
     }
 
-    /// Grows the table when the cluster adds a node.
-    pub fn grow_to(&mut self, nodes: usize) {
-        while self.members.len() < nodes {
-            self.members.push(Member {
-                state: MemberState::Alive,
-                suspected_at: SimTime::ZERO,
-            });
-        }
-    }
-
     /// Runs one probe round: each physically-up node probes one seeded-
     /// random peer; `up(n)` is ground-truth process liveness and
     /// `reachable(a, b)` the current partition reachability. Returns the

@@ -50,7 +50,6 @@ pub mod log;
 pub mod node;
 pub mod raft;
 pub mod shard;
-pub mod txn;
 
 use bytes::Bytes;
 use ofc_simtime::SimTime;

@@ -19,8 +19,19 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// The cheap, deterministic figures worth re-running on every test pass.
-/// Each entry is the binary name; it writes `results/<name>.json`.
-const GOLDEN_FIGURES: &[&str] = &["fig2", "fig5", "cache_benefit", "maturation"];
+/// Each entry is the binary name; it writes `results/<name>.json` at the
+/// bin's default window. `ablation`, `table2` and `fig10` guard the
+/// macro driver's `run_macro_full`/`testbed_full` call sites at full
+/// window (about a second each in release).
+const GOLDEN_FIGURES: &[&str] = &[
+    "fig2",
+    "fig5",
+    "cache_benefit",
+    "maturation",
+    "ablation",
+    "table2",
+    "fig10",
+];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -53,6 +64,9 @@ fn regenerate_with(bin_name: &str, out_name: &str, envs: &[(&str, &str)]) -> Opt
     std::fs::create_dir_all(&scratch).expect("scratch dir");
     let mut cmd = Command::new(&bin);
     cmd.env("OFC_RESULTS_DIR", &scratch);
+    // Goldens are taken at each bin's default window; a shortened window
+    // left in the caller's environment must not leak in.
+    cmd.env_remove("OFC_MACRO_MINS");
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -154,6 +168,21 @@ fn cache_benefit_matches_golden() {
 #[test]
 fn maturation_matches_golden() {
     check("maturation");
+}
+
+#[test]
+fn ablation_matches_golden() {
+    check("ablation");
+}
+
+#[test]
+fn table2_matches_golden() {
+    check("table2");
+}
+
+#[test]
+fn fig10_matches_golden() {
+    check("fig10");
 }
 
 /// Shortened deterministic macro24 (2-minute window), run serially.
