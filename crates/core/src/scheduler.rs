@@ -4,9 +4,7 @@
 use crate::ml::{FnKey, MlEngine};
 use crate::policy::{OfcPolicy, PolicyHandle, PredictionCtx, ShardView};
 use ofc_dtree::data::Value;
-use ofc_faas::{
-    Args, FunctionId, RoutingContext, RoutingDecision, SandboxView, Scheduler, TenantId,
-};
+use ofc_faas::{Args, FunctionId, NodeId, RoutingContext, RoutingDecision, Scheduler, TenantId};
 use ofc_telemetry::{Counter, Telemetry};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -87,31 +85,41 @@ impl OfcScheduler {
     /// Orders warm sandboxes by §6.5's criteria: (i) smallest distance
     /// between current and predicted memory, (ii) available node memory
     /// when the sandbox must grow, (iii) input locality, (iv) recency.
+    /// Exact ties go to the lowest `(node, sandbox)`, so the pick does not
+    /// depend on the order of `ctx.warm`.
     fn pick_warm(
         ctx: &RoutingContext,
-        warm: &[SandboxView],
+        input_master: Option<NodeId>,
         mem_limit: u64,
-    ) -> Option<(usize, u64)> {
-        warm.iter()
+    ) -> Option<(NodeId, u64)> {
+        ctx.warm
+            .iter()
             .min_by_key(|sb| {
                 let diff = sb.mem_limit.abs_diff(mem_limit);
                 let must_grow = mem_limit > sb.mem_limit;
-                let node_free = ctx
-                    .nodes
-                    .iter()
-                    .find(|n| n.node == sb.node)
-                    .map(|n| n.total_mem.saturating_sub(n.committed_mem))
-                    .unwrap_or(0);
-                let non_local = ctx.input_master != Some(sb.node);
+                let non_local = input_master != Some(sb.node);
                 (
                     diff,
-                    if must_grow { u64::MAX - node_free } else { 0 },
+                    if must_grow {
+                        u64::MAX - headroom(ctx, sb.node)
+                    } else {
+                        0
+                    },
                     non_local,
                     u64::MAX - sb.idle_since.as_nanos(),
+                    sb.node,
+                    sb.sandbox,
                 )
             })
             .map(|sb| (sb.node, sb.sandbox))
     }
+}
+
+/// Uncommitted memory on `node` (`ctx.nodes` is indexed by node id).
+fn headroom(ctx: &RoutingContext, node: NodeId) -> u64 {
+    ctx.nodes
+        .get(node)
+        .map_or(0, |n| n.total_mem.saturating_sub(n.committed_mem))
 }
 
 impl Scheduler for OfcScheduler {
@@ -150,17 +158,14 @@ impl Scheduler for OfcScheduler {
                 input_master: ctx.input_master,
             },
         );
-        let ctx_master = if self.locality_routing {
+        // The policy's placement stands in for the oracle's input master.
+        let input_master = if self.locality_routing {
             placement.preferred
         } else {
             None
         };
-        let ctx = &RoutingContext {
-            input_master: ctx_master,
-            ..ctx.clone()
-        };
 
-        if let Some((node, sandbox)) = Self::pick_warm(ctx, &ctx.warm, mem_limit) {
+        if let Some((node, sandbox)) = Self::pick_warm(ctx, input_master, mem_limit) {
             self.metrics.warm_routes.inc();
             return RoutingDecision {
                 node,
@@ -173,17 +178,9 @@ impl Scheduler for OfcScheduler {
 
         // Cold path: prefer the node mastering the input's cached copy
         // (§6.5), then the stock home, then the roomiest node.
-        let free = |node: usize| {
-            ctx.nodes
-                .iter()
-                .find(|n| n.node == node)
-                .map(|n| n.total_mem.saturating_sub(n.committed_mem))
-                .unwrap_or(0)
-        };
-        let node = ctx
-            .input_master
-            .filter(|&n| free(n) >= mem_limit)
-            .or_else(|| (free(ctx.home) >= mem_limit).then_some(ctx.home))
+        let node = input_master
+            .filter(|&n| headroom(ctx, n) >= mem_limit)
+            .or_else(|| (headroom(ctx, ctx.home) >= mem_limit).then_some(ctx.home))
             .or_else(|| {
                 ctx.nodes
                     .iter()
@@ -207,7 +204,7 @@ mod tests {
     use super::*;
     use crate::ml::MlConfig;
     use ofc_dtree::data::{AttrKind, Attribute};
-    use ofc_faas::NodeView;
+    use ofc_faas::{NodeView, SandboxView};
     use ofc_simtime::SimTime;
 
     const MB: u64 = 1 << 20;
@@ -321,6 +318,28 @@ mod tests {
             10.0,
         ));
         assert_eq!(d.node, 2);
+    }
+
+    #[test]
+    fn warm_pick_ignores_list_order() {
+        let ml = engine_with_mature_model();
+        let mut s = OfcScheduler::new(ml, features());
+        // Four exact ties on every §6.5 criterion: the lowest
+        // (node, sandbox) wins whatever the list order.
+        let mut warm = vec![
+            sb(2, 1, 256 * MB, 10),
+            sb(1, 4, 256 * MB, 10),
+            sb(1, 2, 256 * MB, 10),
+            sb(3, 0, 256 * MB, 10),
+        ];
+        for _ in 0..2 {
+            for _ in 0..warm.len() {
+                warm.rotate_left(1);
+                let d = s.route(&ctx(warm.clone(), None, 10.0));
+                assert_eq!((d.node, d.sandbox), (1, Some(2)), "{warm:?}");
+            }
+            warm.reverse();
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub use ofc_chaos::RetryPolicy;
 
 use ofc_objstore::ObjectId;
 use ofc_simtime::SimTime;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -278,9 +279,12 @@ pub struct RoutingContext {
     pub booked_mem: u64,
     /// The stock home node (`hash(function, tenant) % n`).
     pub home: NodeId,
-    /// Idle warm sandboxes for this function, cluster-wide.
+    /// Idle warm sandboxes for this function, cluster-wide, ordered by
+    /// `(node, sandbox)` ascending. The stock and OFC schedulers end their
+    /// pick keys in `(node, sandbox)`, so their decision does not depend
+    /// on this order.
     pub warm: Vec<SandboxView>,
-    /// Per-node status.
+    /// Per-node status, indexed by node id: `nodes[i].node == i`.
     pub nodes: Vec<NodeView>,
     /// Node holding the cache master of the request's input object, if the
     /// installed locality oracle knows one (§6.5).
@@ -319,7 +323,12 @@ impl Scheduler for StockScheduler {
     fn route(&mut self, ctx: &RoutingContext) -> RoutingDecision {
         // Prefer a warm sandbox: most recently used first (stock OWK keeps
         // per-invoker affinity; MRU maximizes reclaimable idle tails).
-        if let Some(sb) = ctx.warm.iter().max_by_key(|s| s.idle_since) {
+        // Exact ties go to the lowest (node, sandbox).
+        if let Some(sb) = ctx
+            .warm
+            .iter()
+            .max_by_key(|s| (s.idle_since, Reverse((s.node, s.sandbox))))
+        {
             return RoutingDecision {
                 node: sb.node,
                 sandbox: Some(sb.sandbox),
@@ -332,8 +341,8 @@ impl Scheduler for StockScheduler {
         let fits = |n: &NodeView| n.total_mem.saturating_sub(n.committed_mem) >= ctx.booked_mem;
         let node = ctx
             .nodes
-            .iter()
-            .find(|n| n.node == ctx.home && fits(n))
+            .get(ctx.home)
+            .filter(|n| fits(n))
             .or_else(|| {
                 ctx.nodes
                     .iter()
@@ -648,6 +657,27 @@ mod tests {
         assert_eq!(d.node, 0);
         assert_eq!(d.sandbox, Some(3));
         assert!(!d.admission.cache);
+    }
+
+    #[test]
+    fn stock_warm_pick_ignores_list_order() {
+        let sb = |node, sandbox| SandboxView {
+            node,
+            sandbox,
+            mem_limit: 512 << 20,
+            idle_since: SimTime::from_secs(9),
+        };
+        // Four exact ties on recency: the lowest (node, sandbox) wins
+        // whatever the list order.
+        let mut warm = vec![sb(2, 1), sb(0, 5), sb(0, 3), sb(2, 0)];
+        for _ in 0..2 {
+            for _ in 0..warm.len() {
+                warm.rotate_left(1);
+                let d = StockScheduler.route(&ctx(warm.clone()));
+                assert_eq!((d.node, d.sandbox), (0, Some(3)), "{warm:?}");
+            }
+            warm.reverse();
+        }
     }
 
     #[test]

@@ -88,6 +88,7 @@ struct FaasMetrics {
     cold_starts: Counter,
     warm_starts: Counter,
     resizes: Counter,
+    route_sandboxes_visited: Counter,
 }
 
 impl FaasMetrics {
@@ -101,6 +102,7 @@ impl FaasMetrics {
             cold_starts: t.counter("faas.cold_starts"),
             warm_starts: t.counter("faas.warm_starts"),
             resizes: t.counter("faas.resizes"),
+            route_sandboxes_visited: t.counter("faas.route_sandboxes_visited"),
         }
     }
 }
@@ -203,11 +205,14 @@ impl Platform {
     }
 
     fn routing_context(&self, req: &InvocationRequest, booked: u64) -> RoutingContext {
-        let warm = self
+        // Node-major, ascending sandbox id within a node: the order
+        // `RoutingContext::warm` documents.
+        let warm: Vec<_> = self
             .invokers
             .iter()
             .flat_map(|inv| inv.warm_for(&req.function, &req.tenant))
             .collect();
+        self.metrics.route_sandboxes_visited.add(warm.len() as u64);
         let nodes = self
             .invokers
             .iter()

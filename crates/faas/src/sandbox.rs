@@ -7,8 +7,9 @@
 //! the quantity OFC's CacheAgent arbitrates against the cache pool.
 
 use crate::{FunctionId, InvocationId, NodeId, SandboxView, TenantId};
+use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Sandbox lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,12 +50,30 @@ pub struct Sandbox {
     pub uses: u64,
 }
 
+/// Idle sandboxes per (tenant, function): id → idle since.
+type IdleIndex = IdHashMap<(TenantId, FunctionId), BTreeMap<u64, SimTime>>;
+
 /// A worker node's invoker: sandbox table plus memory accounting.
+///
+/// Routing reads this table on every arrival, so the aggregates it needs
+/// are kept up to date by the mutators instead of being recomputed:
+/// running committed/booked/busy totals, and an index of the idle
+/// sandboxes per (tenant, function). Every state or limit change goes
+/// through a method below, which keeps all four in step.
 #[derive(Debug)]
 pub struct Invoker {
     node: NodeId,
     total_mem: u64,
-    sandboxes: HashMap<u64, Sandbox>,
+    sandboxes: IdHashMap<u64, Sandbox>,
+    /// Idle sandboxes per (tenant, function): id → idle since, ascending
+    /// id; a pair with no idle sandbox has no entry.
+    idle: IdleIndex,
+    /// Σ `mem_limit` over all sandboxes.
+    committed: u64,
+    /// Σ `booked` over all sandboxes.
+    booked: u64,
+    /// Sandboxes in the `Busy` state.
+    busy: usize,
     next_id: u64,
     /// Cold starts performed.
     pub cold_starts: u64,
@@ -68,7 +87,11 @@ impl Invoker {
         Invoker {
             node,
             total_mem,
-            sandboxes: HashMap::new(),
+            sandboxes: IdHashMap::default(),
+            idle: IdHashMap::default(),
+            committed: 0,
+            booked: 0,
+            busy: 0,
             next_id: 0,
             cold_starts: 0,
             reclaimed: 0,
@@ -86,15 +109,15 @@ impl Invoker {
     }
 
     /// Physical memory committed to sandboxes (sum of cgroup limits) —
-    /// what the cache pool is carved against.
+    /// what the cache pool is carved against. O(1).
     pub fn committed_mem(&self) -> u64 {
-        self.sandboxes.values().map(|s| s.mem_limit).sum()
+        self.committed
     }
 
     /// Booked memory committed to sandboxes — the admission-control sum
-    /// (`Σ booked <= capacity`, as in stock OWK).
+    /// (`Σ booked <= capacity`, as in stock OWK). O(1).
     pub fn booked_mem(&self) -> u64 {
-        self.sandboxes.values().map(|s| s.booked).sum()
+        self.booked
     }
 
     /// Number of sandboxes in any state.
@@ -102,22 +125,14 @@ impl Invoker {
         self.sandboxes.len()
     }
 
-    /// Number of busy sandboxes.
+    /// Number of busy sandboxes. O(1).
     pub fn busy_count(&self) -> usize {
-        self.sandboxes
-            .values()
-            .filter(|s| matches!(s.state, SandboxState::Busy { .. }))
-            .count()
+        self.busy
     }
 
     /// Borrow of a sandbox.
     pub fn sandbox(&self, id: u64) -> Option<&Sandbox> {
         self.sandboxes.get(&id)
-    }
-
-    /// Mutable borrow of a sandbox.
-    pub fn sandbox_mut(&mut self, id: u64) -> Option<&mut Sandbox> {
-        self.sandboxes.get_mut(&id)
     }
 
     /// Creates a sandbox in `Starting` state.
@@ -134,6 +149,8 @@ impl Invoker {
         let id = self.next_id;
         self.next_id += 1;
         self.cold_starts += 1;
+        self.committed += mem_limit;
+        self.booked += booked;
         self.sandboxes.insert(
             id,
             Sandbox {
@@ -148,6 +165,24 @@ impl Invoker {
             },
         );
         id
+    }
+
+    /// Moves sandbox `id` to `state`, keeping the busy count and the idle
+    /// index in step.
+    fn set_state(&mut self, id: u64, state: SandboxState) {
+        let Some(sb) = self.sandboxes.get_mut(&id) else {
+            return;
+        };
+        let old = std::mem::replace(&mut sb.state, state);
+        let key = (sb.tenant, sb.function);
+        self.untrack(key, id, old);
+        match state {
+            SandboxState::Busy { .. } => self.busy += 1,
+            SandboxState::Idle { since } => {
+                self.idle.entry(key).or_default().insert(id, since);
+            }
+            SandboxState::Starting => {}
+        }
     }
 
     /// Transitions a sandbox to busy for `invocation`.
@@ -165,29 +200,48 @@ impl Invoker {
             !matches!(sb.state, SandboxState::Busy { .. }),
             "sandbox {id} already busy (one invocation at a time, §2.1)"
         );
-        sb.state = SandboxState::Busy { invocation };
         sb.uses += 1;
+        self.set_state(id, SandboxState::Busy { invocation });
     }
 
     /// Transitions a sandbox back to idle after an invocation.
     pub fn release(&mut self, id: u64, now: SimTime) {
-        if let Some(sb) = self.sandboxes.get_mut(&id) {
-            sb.state = SandboxState::Idle { since: now };
-        }
+        self.set_state(id, SandboxState::Idle { since: now });
     }
 
     /// Updates a sandbox's memory limit; returns the old limit.
     pub fn resize(&mut self, id: u64, mem_limit: u64) -> Option<u64> {
         let sb = self.sandboxes.get_mut(&id)?;
-        let old = sb.mem_limit;
-        sb.mem_limit = mem_limit;
+        let old = std::mem::replace(&mut sb.mem_limit, mem_limit);
+        self.committed = self.committed - old + mem_limit;
         Some(old)
     }
 
     /// Destroys a sandbox (OOM kill or keep-alive expiry); returns its
     /// memory limit so the caller can release it to the broker.
     pub fn destroy(&mut self, id: u64) -> Option<u64> {
-        self.sandboxes.remove(&id).map(|s| s.mem_limit)
+        let sb = self.sandboxes.remove(&id)?;
+        self.committed -= sb.mem_limit;
+        self.booked -= sb.booked;
+        self.untrack((sb.tenant, sb.function), id, sb.state);
+        Some(sb.mem_limit)
+    }
+
+    /// Takes sandbox `id`, of `key`, out of the busy count or the idle
+    /// index as it leaves `state`.
+    fn untrack(&mut self, key: (TenantId, FunctionId), id: u64, state: SandboxState) {
+        match state {
+            SandboxState::Busy { .. } => self.busy -= 1,
+            SandboxState::Idle { .. } => {
+                if let Some(ids) = self.idle.get_mut(&key) {
+                    ids.remove(&id);
+                    if ids.is_empty() {
+                        self.idle.remove(&key);
+                    }
+                }
+            }
+            SandboxState::Starting => {}
+        }
     }
 
     /// Reclaims the sandbox if it is still idle and untouched since `uses`.
@@ -209,27 +263,27 @@ impl Invoker {
         }
     }
 
-    /// Idle warm sandboxes bound to `function`/`tenant`, as scheduler views.
-    pub fn warm_for(&self, function: &FunctionId, tenant: &TenantId) -> Vec<SandboxView> {
-        self.sandboxes
-            .values()
-            .filter_map(|s| match s.state {
-                SandboxState::Idle { since } if &s.function == function && &s.tenant == tenant => {
-                    Some(SandboxView {
-                        node: self.node,
-                        sandbox: s.id,
-                        mem_limit: s.mem_limit,
-                        idle_since: since,
-                    })
-                }
-                _ => None,
+    /// Idle warm sandboxes bound to `function`/`tenant`, as scheduler
+    /// views in ascending sandbox id. Reads only the matching index entry.
+    pub fn warm_for(
+        &self,
+        function: &FunctionId,
+        tenant: &TenantId,
+    ) -> impl Iterator<Item = SandboxView> + '_ {
+        self.idle
+            .get(&(*tenant, *function))
+            .into_iter()
+            .flatten()
+            .map(move |(&id, &idle_since)| SandboxView {
+                node: self.node,
+                sandbox: id,
+                mem_limit: self
+                    .sandboxes
+                    .get(&id)
+                    .expect("the idle index holds only live sandboxes")
+                    .mem_limit,
+                idle_since,
             })
-            .collect()
-    }
-
-    /// Iterates over all sandboxes.
-    pub fn sandboxes(&self) -> impl Iterator<Item = &Sandbox> {
-        self.sandboxes.values()
     }
 }
 
@@ -259,7 +313,7 @@ mod tests {
         assert_eq!(inv.busy_count(), 1);
         inv.release(id, SimTime::from_secs(1));
         assert_eq!(inv.busy_count(), 0);
-        let warm = inv.warm_for(&fid("f"), &tid("t"));
+        let warm: Vec<_> = inv.warm_for(&fid("f"), &tid("t")).collect();
         assert_eq!(warm.len(), 1);
         assert_eq!(warm[0].idle_since, SimTime::from_secs(1));
     }
@@ -281,8 +335,8 @@ mod tests {
         inv.release(a, SimTime::ZERO);
         inv.release(b, SimTime::ZERO);
         // Same function, different tenant: never shared (§2.1).
-        assert_eq!(inv.warm_for(&fid("f"), &tid("t1")).len(), 1);
-        assert_eq!(inv.warm_for(&fid("g"), &tid("t1")).len(), 0);
+        assert_eq!(inv.warm_for(&fid("f"), &tid("t1")).count(), 1);
+        assert_eq!(inv.warm_for(&fid("g"), &tid("t1")).count(), 0);
     }
 
     #[test]

@@ -6,10 +6,12 @@ use ofc_faas::platform::{PipelineDriver, Platform, PlatformHandle};
 use ofc_faas::registry::{FunctionSpec, Registry};
 use ofc_faas::{
     ArgValue, Args, Behavior, Completion, FunctionId, FunctionModel, InvocationRequest,
-    MemoryBroker, ObjectRef, ObjectWrite, PlatformConfig, TenantId,
+    MemoryBroker, ObjectRef, ObjectWrite, PlatformConfig, RoutingContext, RoutingDecision,
+    Scheduler, StockScheduler, TenantId,
 };
 use ofc_objstore::ObjectId;
 use ofc_simtime::{Sim, SimTime};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -120,6 +122,66 @@ fn concurrent_invocations_get_separate_sandboxes() {
     // arrived (one invocation at a time, §2.1).
     assert!(recs.iter().all(|r| r.cold_start));
     assert_eq!(p.counters().cold_starts, 2);
+}
+
+/// The stock policy, summing the lengths of the warm-candidate lists it
+/// is offered.
+struct CountingScheduler(Rc<Cell<u64>>);
+
+impl Scheduler for CountingScheduler {
+    fn route(&mut self, ctx: &RoutingContext) -> RoutingDecision {
+        self.0.set(self.0.get() + ctx.warm.len() as u64);
+        StockScheduler.route(ctx)
+    }
+}
+
+#[test]
+fn routing_reads_only_matching_idle_sandboxes() {
+    let others: Vec<FunctionId> = (0..40)
+        .map(|i| FunctionId::from(format!("g{i}").as_str()))
+        .collect();
+    let mut reg = Registry::new();
+    for &id in std::iter::once(&FunctionId::from("f")).chain(&others) {
+        reg.register(FunctionSpec {
+            id,
+            tenant: TenantId::from("t"),
+            booked_mem: 512 * MB,
+            model: Rc::new(ScaledModel {
+                mem: 100 * MB,
+                compute: Duration::from_millis(100),
+            }),
+        });
+    }
+    let p = Platform::build(PlatformConfig::default(), reg, Box::new(NoopPlane));
+    let offered = Rc::new(Cell::new(0));
+    p.set_scheduler(Box::new(CountingScheduler(Rc::clone(&offered))));
+    let mut sim = Sim::new(0);
+    // 40 idle sandboxes of other functions, and 3 of `f`.
+    for &function in &others {
+        p.submit(
+            &mut sim,
+            InvocationRequest {
+                function,
+                ..request()
+            },
+        );
+    }
+    for _ in 0..3 {
+        p.submit(&mut sim, request());
+    }
+    sim.run_until(SimTime::from_secs(1));
+    let live: usize = (0..4).map(|n| p.sandbox_count(n)).sum();
+    assert_eq!(live, 43);
+    // Ten sequential `f` arrivals, each offered the 3 idle `f` sandboxes.
+    for i in 0..10 {
+        p.submit(&mut sim, request());
+        sim.run_until(SimTime::from_secs(2 + i));
+    }
+    let visited = p.telemetry().counter("faas.route_sandboxes_visited").get();
+    assert_eq!(offered.get(), 30);
+    // The work counter is Σ warm-candidate lengths: 3 per `f` arrival,
+    // not the 43 live sandboxes a full scan would read.
+    assert_eq!(visited, offered.get());
 }
 
 #[test]

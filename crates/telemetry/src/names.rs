@@ -84,6 +84,9 @@ pub const FAAS_COLD_STARTS: &str = "faas.cold_starts";
 pub const FAAS_WARM_STARTS: &str = "faas.warm_starts";
 /// Sandbox memory-limit resizes after a misprediction.
 pub const FAAS_RESIZES: &str = "faas.resizes";
+/// Sandbox entries read to build routing contexts (Σ warm-candidate
+/// lengths; a deterministic work counter for the routing layer).
+pub const FAAS_ROUTE_SANDBOXES_VISITED: &str = "faas.route_sandboxes_visited";
 
 // ---- scheduler ---------------------------------------------------------
 
@@ -280,6 +283,7 @@ pub const ALL: &[&str] = &[
     FAAS_OOM_KILLS,
     FAAS_RESIZES,
     FAAS_RETRIES,
+    FAAS_ROUTE_SANDBOXES_VISITED,
     FAAS_SUBMITTED,
     FAAS_UNSCHEDULABLE,
     FAAS_WARM_STARTS,
